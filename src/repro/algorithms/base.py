@@ -21,6 +21,7 @@ accounts paper-scale time.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -38,6 +39,7 @@ from ..models.base import SliceableModel, depth_variant_of
 from ..models.slicing import (extract_substate, finalize_mean,
                               scatter_accumulate, width_index_maps,
                               zeros_like_state)
+from ..telemetry import runtime as telemetry
 
 __all__ = ["ClientContext", "ClientUpdate", "RoundOutcome", "MHFLAlgorithm",
            "WIDTH_LEVELS", "DEPTH_LEVELS", "assign_levels_uniformly"]
@@ -161,7 +163,9 @@ class MHFLAlgorithm:
         cap = min(eval_max_samples, dataset.num_test)
         self.x_eval = dataset.x_test[:cap]
         self.y_eval = dataset.y_test[:cap]
-        self._eval_model: SliceableModel | None = None
+        #: per-thread ``variant key -> (model, state shapes)``; see
+        #: :meth:`_skeleton`.
+        self._skeletons = threading.local()
 
     # ------------------------------------------------------------------
     # Identity / plumbing
@@ -211,18 +215,51 @@ class MHFLAlgorithm:
         ``state`` is the global state to slice from; ``None`` reads the
         live coordinator state (executors pass the work item's broadcast
         copy instead, so training never races coordinator aggregation).
+        The returned model is this thread's skeleton for the variant: it
+        stays valid until the thread builds the same variant again.
         """
-        if state is None:
-            state = self.global_state
-        overrides = self.client_overrides(ctx, round_index, rng)
-        model = self.base_model.variant(**overrides)
+        with telemetry.span("build_client_model"):
+            overrides = self.client_overrides(ctx, round_index, rng)
+            model, maps = self._load_variant(overrides, round_index, state)
+            self.prepare_client_model(model, ctx, round_index)
+            return model, maps
+
+    def _skeleton(self, overrides: dict
+                  ) -> tuple[SliceableModel, dict[str, tuple[int, ...]]]:
+        """This thread's reusable model for ``overrides``, with its state
+        shapes.
+
+        Loading a state overwrites every parameter and buffer, so
+        the random init of a fresh ``variant()`` is wasted work; each thread
+        builds one model per distinct variant and reuses it.  Reuse undoes
+        what a previous client may have changed beyond the loaded state:
+        frozen parameters (FeDepth), leftover gradients and the mode.
+        """
+        cache = getattr(self._skeletons, "models", None)
+        if cache is None:
+            cache = self._skeletons.models = {}
+        key = tuple(sorted(overrides.items()))
+        entry = cache.get(key)
+        if entry is None:
+            model = self.base_model.variant(**overrides)
+            entry = cache[key] = (model, model.state_shapes())
+        else:
+            for param in entry[0].parameters():
+                param.requires_grad = True
+                param.grad = None
+            entry[0].train()
+        return entry
+
+    def _load_variant(self, overrides: dict, round_index: int,
+                      state: dict | None) -> tuple[SliceableModel, dict]:
+        """The skeleton for ``overrides`` loaded with its slice of
+        ``state`` (``None``: the live global state), plus the index maps."""
+        model, shapes = self._skeleton(overrides)
         maps = width_index_maps(
-            self.global_shapes,
-            {k: v.shape for k, v in model.state_dict().items()},
-            self.scale_axes, mode=self.slicing_mode,
-            shift=self.rolling_shift(round_index))
-        model.load_state_dict(extract_substate(state, maps))
-        self.prepare_client_model(model, ctx, round_index)
+            self.global_shapes, shapes, self.scale_axes,
+            mode=self.slicing_mode, shift=self.rolling_shift(round_index))
+        model.load_state_dict(extract_substate(
+            self.global_state if state is None else state, maps))
         return model, maps
 
     def prepare_client_model(self, model: SliceableModel, ctx: ClientContext,
@@ -446,23 +483,34 @@ class MHFLAlgorithm:
     # Evaluation
     # ------------------------------------------------------------------
     def _global_model(self) -> SliceableModel:
-        if self._eval_model is None:
-            self._eval_model = self.base_model.variant()
-        self._eval_model.load_state_dict(self.global_state)
-        return self._eval_model
+        return self._load_variant({}, 0, None)[0]
 
     def evaluate_global(self) -> float:
         """Global accuracy: the full aggregated model on the global test set."""
         return accuracy(self._global_model(), self.x_eval, self.y_eval)
 
-    def per_device_accuracies(self) -> list[float]:
-        """Final accuracy of each evaluation client's own deployed variant."""
+    def eval_client_ids(self) -> list[int]:
+        """The clients whose deployed models the final per-device pass
+        scores: ``eval_clients`` of them, evenly strided over the ids."""
         ids = sorted(self.clients)
         stride = max(1, len(ids) // self.eval_clients)
+        return ids[::stride][:self.eval_clients]
+
+    def per_device_accuracies(self) -> list[float]:
+        """Final accuracy of each evaluation client's own deployed variant.
+
+        Every client is scored at round 0, so clients deploying the same
+        variant hold the same model (same index maps, same state); each
+        distinct variant is scored once.
+        """
         rng = np.random.default_rng(0)
+        scored: dict[tuple, float] = {}
         accs = []
-        for client_id in ids[::stride][:self.eval_clients]:
-            ctx = self.clients[client_id]
-            model, _ = self.build_client_model(ctx, round_index=0, rng=rng)
-            accs.append(accuracy(model, self.x_eval, self.y_eval))
+        for client_id in self.eval_client_ids():
+            overrides = self.client_overrides(self.clients[client_id], 0, rng)
+            key = tuple(sorted(overrides.items()))
+            if key not in scored:
+                model, _ = self._load_variant(overrides, 0, None)
+                scored[key] = accuracy(model, self.x_eval, self.y_eval)
+            accs.append(scored[key])
         return accs

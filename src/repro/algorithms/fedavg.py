@@ -10,7 +10,6 @@ baseline's.
 from __future__ import annotations
 
 from ..fl.evaluate import accuracy
-from ..models.slicing import extract_substate, width_index_maps
 from .base import MHFLAlgorithm
 
 __all__ = ["FedAvgSmallest"]
@@ -43,10 +42,5 @@ class FedAvgSmallest(MHFLAlgorithm):
         global state is meaningful; evaluating the full model would mix
         trained and never-touched coordinates.
         """
-        entry = self._common_entry()
-        model = entry.build(self.base_model)
-        model_state_shapes = {k: v.shape for k, v in model.state_dict().items()}
-        maps = width_index_maps(self.global_shapes, model_state_shapes,
-                                self.scale_axes, mode="prefix")
-        model.load_state_dict(extract_substate(self.global_state, maps))
+        model, _ = self._load_variant(self._common_entry().overrides, 0, None)
         return accuracy(model, self.x_eval, self.y_eval)

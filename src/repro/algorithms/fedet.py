@@ -202,10 +202,8 @@ class FedET(MHFLAlgorithm):
         return accuracy(self.server_model, self.x_eval, self.y_eval)
 
     def per_device_accuracies(self) -> list[float]:
-        ids = sorted(self.clients)
-        stride = max(1, len(ids) // self.eval_clients)
         accs = []
-        for client_id in ids[::stride][:self.eval_clients]:
+        for client_id in self.eval_client_ids():
             model = self.personal_model(self.clients[client_id])
             accs.append(accuracy(model, self.x_eval, self.y_eval))
         return accs

@@ -240,14 +240,9 @@ class FedProto(MHFLAlgorithm):
         proto_bytes = self.global_protos.nbytes
         return proto_bytes, proto_bytes
 
-    def _eval_ids(self) -> list[int]:
-        ids = sorted(self.clients)
-        stride = max(1, len(ids) // self.eval_clients)
-        return ids[::stride][:self.eval_clients]
-
     def per_device_accuracies(self) -> list[float]:
         accs = []
-        for client_id in self._eval_ids():
+        for client_id in self.eval_client_ids():
             model = self.personal_model(self.clients[client_id])
             accs.append(accuracy(model, self.x_eval, self.y_eval))
         return accs

@@ -298,6 +298,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
     ``running_mean``/``running_var`` are updated **in place** in training
     mode, mirroring the usual framework contract.
+
+    The centred input is computed once and becomes ``xhat`` in place.  The
+    variance replays ``np.var``'s own steps on it (sum of squares, then
+    ``true_divide`` by an ``intp`` count), so results are bit-identical
+    to the ``x.mean``/``x.var`` formulation.
     """
     if x.ndim == 4:
         axes: tuple[int, ...] = (0, 2, 3)
@@ -308,34 +313,43 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     else:
         raise ValueError(f"batch_norm expects 2-D or 4-D input, got {x.ndim}-D")
 
+    m = x.size // x.shape[1]
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mean = x.data.mean(axis=axes, keepdims=True)
+        xhat = x.data - mean
+        var = np.add.reduce(np.square(xhat), axis=axes)
+        np.true_divide(var, np.intp(m), out=var, casting="unsafe")
+        mean = mean.reshape(-1)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mean, var = running_mean, running_var
+        xhat = x.data - running_mean.reshape(shape)
+        var = running_var
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean.reshape(shape)) * inv_std.reshape(shape)
-    out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
-
-    m = x.size // x.shape[1]
+    xhat *= inv_std.reshape(shape)
+    out = gamma.data.reshape(shape) * xhat
+    out += beta.data.reshape(shape)
 
     def backward(grad: np.ndarray) -> tuple:
-        dgamma = (grad * xhat).sum(axis=axes) if _needs_grad(gamma) else None
-        dbeta = grad.sum(axis=axes) if _needs_grad(beta) else None
-        dx = None
-        if _needs_grad(x):
+        need_x = _needs_grad(x)
+        gx_sum = g_sum = dx = None
+        if _needs_grad(gamma) or (need_x and training):
+            gx_sum = (grad * xhat).sum(axis=axes, keepdims=True)
+        if _needs_grad(beta) or (need_x and training):
+            g_sum = grad.sum(axis=axes, keepdims=True)
+        if need_x:
             if training:
-                g_sum = grad.sum(axis=axes, keepdims=True)
-                gx_sum = (grad * xhat).sum(axis=axes, keepdims=True)
-                dx = (gamma.data.reshape(shape) * inv_std.reshape(shape) / m) * (
-                    m * grad - g_sum - xhat * gx_sum)
+                dx = m * grad
+                dx -= g_sum
+                dx -= xhat * gx_sum
+                dx *= gamma.data.reshape(shape) * inv_std.reshape(shape) / m
             else:
                 dx = grad * gamma.data.reshape(shape) * inv_std.reshape(shape)
+        dgamma = gx_sum.reshape(-1) if _needs_grad(gamma) else None
+        dbeta = g_sum.reshape(-1) if _needs_grad(beta) else None
         return dx, dgamma, dbeta
 
     return Tensor._make(out, (x, gamma, beta), backward)

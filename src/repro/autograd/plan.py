@@ -231,8 +231,7 @@ def model_plan_key(model) -> tuple:
     state dict never changes shape.  Keying on the mask keeps every
     schedule isomorphic to the graphs it replays on."""
     return (type(model).__qualname__,
-            tuple((name, value.shape)
-                  for name, value in model.state_dict().items()),
+            tuple(model.state_shapes().items()),
             tuple(name for name, p in model.named_parameters()
                   if p.requires_grad))
 

@@ -440,7 +440,9 @@ class SynchronousPolicy(AggregationPolicy):
             if self.should_stop(acc):
                 break
 
-        history.final_device_accuracies = algorithm.per_device_accuracies()
+        with telemetry.span("per_device_accuracies"):
+            history.final_device_accuracies = \
+                algorithm.per_device_accuracies()
         if checkpointer is not None:
             checkpointer.clear()
         self._record_run_telemetry(history, wall_start)
@@ -811,7 +813,9 @@ class BufferedPolicy(AggregationPolicy):
                 if count:
                     key = f"dropped_{reason}"
                     tail[key] = tail.get(key, 0) + count
-        history.final_device_accuracies = algorithm.per_device_accuracies()
+        with telemetry.span("per_device_accuracies"):
+            history.final_device_accuracies = \
+                algorithm.per_device_accuracies()
         self._record_run_telemetry(history, wall_start)
         return history
 

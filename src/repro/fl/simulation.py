@@ -220,7 +220,9 @@ def _run_sync_loop(algorithm, config: SimulationConfig,
                 and acc >= config.stop_at_accuracy):
             break
 
-    history.final_device_accuracies = algorithm.per_device_accuracies()
+    with telemetry.span("per_device_accuracies"):
+        history.final_device_accuracies = \
+            algorithm.per_device_accuracies()
     if checkpointer is not None:
         checkpointer.clear()
     if telemetry.enabled() and history.records:

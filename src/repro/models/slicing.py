@@ -81,10 +81,23 @@ def width_index_maps(global_shapes: dict[str, tuple[int, ...]],
 
 def _as_ix(per_axis: tuple[np.ndarray | None, ...],
            shape: tuple[int, ...]):
-    """Open-mesh index selecting the mapped block of a global array."""
-    arrays = [np.arange(dim) if idx is None else idx
-              for idx, dim in zip(per_axis, shape)]
-    return np.ix_(*arrays) if arrays else ()
+    """Index selecting the mapped block of a global array.
+
+    Basic slices (so indexing yields a view, not a gather) when every
+    mapped axis is a contiguous ascending run: prefix maps and rolling
+    windows that do not wrap.  A wrapping window needs an open mesh.
+    """
+    slices = []
+    for idx in per_axis:
+        if idx is None:
+            slices.append(slice(None))
+            continue
+        run = idx.tolist()
+        if not run or run != list(range(run[0], run[0] + len(run))):
+            return np.ix_(*[np.arange(dim) if i is None else i
+                            for i, dim in zip(per_axis, shape)])
+        slices.append(slice(run[0], run[0] + len(run)))
+    return tuple(slices)
 
 
 def extract_substate(global_state: dict[str, np.ndarray],

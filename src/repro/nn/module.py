@@ -102,6 +102,14 @@ class Module:
             state[name] = buf.copy()
         return state
 
+    def state_shapes(self) -> dict[str, tuple[int, ...]]:
+        """``name -> shape`` of every :meth:`state_dict` entry, in the same
+        order, without copying any array."""
+        shapes = {name: p.data.shape for name, p in self.named_parameters()}
+        for name, buf in self.named_buffers():
+            shapes[name] = buf.shape
+        return shapes
+
     def load_state_dict(self, state: dict[str, np.ndarray],
                         strict: bool = True) -> None:
         """Load arrays into parameters/buffers (shape-checked, in place)."""

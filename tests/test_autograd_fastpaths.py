@@ -4,11 +4,14 @@ The strided-im2col conv2d, slice-fast-path getitem, reduceat embedding
 scatter and the stash-free backward engine are checked here against
 *independent* references: a convolution composed purely from separately
 grad-checked primitives (pad/slice/matmul/concat), numpy ``np.add.at``
-scatters, and central-difference numerical gradients.
+scatters, and central-difference numerical gradients.  The batch_norm
+rewrite is checked bit for bit against the ``x.mean``/``x.var``
+formulation it replaced.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import autograd as ag
 from repro import nn
@@ -271,3 +274,100 @@ class TestDropoutDeterminism:
     def test_seed_and_rng_are_exclusive(self):
         with pytest.raises(ValueError, match="not both"):
             nn.Dropout(0.5, seed=1, rng=np.random.default_rng(0))
+
+
+def batch_norm_oracle(x, gamma, beta, running_mean, running_var, training,
+                      grad, momentum=0.1, eps=1e-5):
+    """The ``x.mean``/``x.var`` batch_norm formulation, on plain arrays.
+
+    Returns ``(out, dx, dgamma, dbeta)`` for upstream gradient ``grad``
+    and updates the running stats in place, as the engine op does.
+    """
+    axes = (0, 2, 3) if x.ndim == 4 else (0,)
+    shape = (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
+    if training:
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
+    out = gamma.reshape(shape) * xhat + beta.reshape(shape)
+    m = x.size // x.shape[1]
+    dgamma = (grad * xhat).sum(axis=axes)
+    dbeta = grad.sum(axis=axes)
+    if training:
+        g_sum = grad.sum(axis=axes, keepdims=True)
+        gx_sum = (grad * xhat).sum(axis=axes, keepdims=True)
+        dx = (gamma.reshape(shape) * inv_std.reshape(shape) / m) * (
+            m * grad - g_sum - xhat * gx_sum)
+    else:
+        dx = grad * gamma.reshape(shape) * inv_std.reshape(shape)
+    return out, dx, dgamma, dbeta
+
+
+@st.composite
+def batch_norm_cases(draw):
+    if draw(st.booleans()):
+        shape = (draw(st.integers(1, 6)), draw(st.integers(1, 5)))
+    else:
+        shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)),
+                 draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    return {"shape": shape,
+            "dtype": draw(st.sampled_from([np.float32, np.float64])),
+            "training": draw(st.booleans()),
+            "needs": draw(st.tuples(st.booleans(), st.booleans(),
+                                    st.booleans())),
+            "seed": draw(st.integers(0, 2 ** 16))}
+
+
+class TestBatchNormBitExact:
+    """The centred-array batch_norm is byte-equal to the old formulation."""
+
+    @given(case=batch_norm_cases())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_matches_mean_var_formulation(self, case):
+        rng = np.random.default_rng(case["seed"])
+        dtype, shape = case["dtype"], case["shape"]
+        channels = shape[1]
+        x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+        gamma = rng.standard_normal(channels).astype(dtype)
+        beta = rng.standard_normal(channels).astype(dtype)
+        grad = rng.standard_normal(shape).astype(dtype)
+        stats = (rng.standard_normal(channels).astype(dtype),
+                 rng.uniform(0.5, 2.0, channels).astype(dtype))
+        ref_mean, ref_var = (a.copy() for a in stats)
+        run_mean, run_var = (a.copy() for a in stats)
+
+        want = batch_norm_oracle(x, gamma, beta, ref_mean, ref_var,
+                                 case["training"], grad)
+        leaves = [Tensor(a.copy(), requires_grad=flag)
+                  for a, flag in zip((x, gamma, beta), case["needs"])]
+        out = ag.batch_norm(*leaves, run_mean, run_var, case["training"])
+
+        assert out.data.dtype == want[0].dtype
+        assert np.array_equal(out.data, want[0])
+        assert np.array_equal(run_mean, ref_mean)
+        assert np.array_equal(run_var, ref_var)
+        if any(case["needs"]):
+            out.backward(grad)
+        for leaf, flag, expected in zip(leaves, case["needs"], want[1:]):
+            if flag:
+                assert leaf.grad.dtype == expected.dtype
+                assert np.array_equal(leaf.grad, expected)
+            else:
+                assert leaf.grad is None
+
+    def test_frozen_inputs_get_no_gradient(self):
+        x = Tensor(np.ones((2, 3), np.float32))
+        gamma = Tensor(np.ones(3, np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(3, np.float32))
+        out = ag.batch_norm(x, gamma, beta, np.zeros(3, np.float32),
+                            np.ones(3, np.float32), training=True)
+        out.backward(np.ones((2, 3), np.float32))
+        assert gamma.grad is not None
+        assert x.grad is None and beta.grad is None

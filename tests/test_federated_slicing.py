@@ -3,20 +3,29 @@
 These pin the invariants the figures rely on: rolling windows eventually
 cover every coordinate, BN running statistics travel with their slices,
 weighted coordinate means behave like means, and partially-frozen uploads
-never dilute other clients' updates.
+never dilute other clients' updates.  Reused client-model skeletons and the
+slice-view index path are pinned against fresh models and ``np.ix_``.
 """
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data import load_dataset, partition_dataset
-from repro.fl import LocalTrainConfig, history_from_dict, history_to_dict
+from repro.fl import (LocalTrainConfig, SimulationConfig, history_from_dict,
+                      history_to_dict, run_simulation)
+from repro.fl.seeding import client_rng
+from repro.fl.serialization import decode_payload, encode_payload
 from repro.fl.history import History, RoundRecord
 from repro.hw import sample_fleet
 from repro.models import (build_model, extract_substate, finalize_mean,
                           scatter_accumulate, width_index_maps,
                           zeros_like_state)
+from repro.models.slicing import _as_ix
 from repro.algorithms import ALGORITHMS, assign_levels_uniformly
 
 
@@ -122,6 +131,165 @@ class TestFeDepthIsolation:
         frozen_params = {n for n, p in model.named_parameters()
                          if not p.requires_grad}
         assert not (keep & frozen_params)
+
+
+class TestClientModelSkeletons:
+    def test_frozen_client_does_not_leak_into_next(self, task):
+        """After a FeDepth client trains a frozen segment, the next client
+        of the same variant gets a fully trainable model, no stale grads,
+        and the same upload a fresh algorithm would produce."""
+        algo = _algo("fedepth", task)
+        total = algo.base_model.total_stages
+        frozen = next(cid for cid, ctx in algo.clients.items()
+                      if ctx.entry.key == "seg1")
+        full = next(cid for cid, ctx in algo.clients.items()
+                    if ctx.entry.key == f"seg{total}")
+        algo.run_client(frozen, 0, client_rng(0, 0, frozen))
+        first, _ = algo.build_client_model(algo.clients[frozen], 0,
+                                           np.random.default_rng(0))
+        assert any(not p.requires_grad for p in first.parameters())
+        for param in first.parameters():
+            if param.requires_grad:
+                param.grad = np.ones_like(param.data)
+        first.eval()
+        model, _ = algo.build_client_model(algo.clients[full], 0,
+                                           np.random.default_rng(0))
+        assert model is first
+        assert model.training
+        assert all(p.requires_grad and p.grad is None
+                   for p in model.parameters())
+
+        reused = algo.run_client(full, 0, client_rng(0, 0, full))
+        fresh = _algo("fedepth", task).run_client(full, 0,
+                                                  client_rng(0, 0, full))
+        assert reused.train_loss == fresh.train_loss
+        assert set(reused.payload[0]) == set(fresh.payload[0])
+        for name, value in fresh.payload[0].items():
+            assert reused.payload[0][name].tobytes() == value.tobytes()
+
+    def test_threads_never_share_a_skeleton(self, task):
+        """More threads than cores, switching often: each thread keeps
+        getting its own skeleton, loaded with exactly its client's slice."""
+        algo = _algo("sheterofl", task)
+        ctx = next(iter(algo.clients.values()))
+        expected, _ = algo.build_client_model(ctx, 0,
+                                              np.random.default_rng(0))
+        expected = expected.state_dict()
+        workers = 4
+        barrier = threading.Barrier(workers)
+
+        def build(_):
+            barrier.wait(timeout=30)
+            first = None
+            for _ in range(5):
+                model, _ = algo.build_client_model(ctx, 0,
+                                                   np.random.default_rng(0))
+                if first is None:
+                    first = model
+                assert model is first
+                state = model.state_dict()
+                assert all(np.array_equal(state[k], v)
+                           for k, v in expected.items())
+                for param in model.parameters():
+                    param.data += 1.0    # a shared skeleton would leak this
+            return first
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(build, i) for i in range(workers)]
+                models = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({id(model) for model in models}) == workers
+
+    def test_thread_executor_workers_own_their_skeletons(self, task):
+        algo = _algo("sheterofl", task)
+        owners: dict[int, set[int]] = {}
+        real_skeleton = algo._skeleton
+
+        def spy(overrides):
+            entry = real_skeleton(overrides)
+            owners.setdefault(id(entry[0]), set()).add(threading.get_ident())
+            return entry
+
+        algo._skeleton = spy
+        config = dict(num_rounds=2, sample_ratio=0.5, eval_every=1, seed=3)
+        threaded = run_simulation(algo, SimulationConfig(
+            workers=2, executor="thread", **config))
+        inline = run_simulation(_algo("sheterofl", task),
+                                SimulationConfig(**config))
+        assert owners
+        assert all(len(threads) == 1 for threads in owners.values())
+        assert threaded.to_json() == inline.to_json()
+
+
+def _ix_extract(state, maps):
+    """``extract_substate`` through an open mesh on every mapped axis."""
+    return {name: state[name][np.ix_(*[
+        np.arange(dim) if idx is None else idx
+        for idx, dim in zip(per_axis, state[name].shape)])].copy()
+        for name, per_axis in maps.items()}
+
+
+def _ix_scatter(sums, counts, sub, maps, weight):
+    """``scatter_accumulate`` through an open mesh on every mapped axis."""
+    for name, per_axis in maps.items():
+        ix = np.ix_(*[np.arange(dim) if idx is None else idx
+                      for idx, dim in zip(per_axis, sums[name].shape)])
+        sums[name][ix] += weight * sub[name]
+        counts[name][ix] += weight
+
+
+def _map_kind(kind, global_model, sub_model):
+    mode, shift = {"prefix": ("prefix", 0), "rolling": ("rolling", 1),
+                   "rolling_wrap": ("rolling", 7),
+                   "codec": ("rolling", 1)}[kind]
+    maps = width_index_maps(global_model.state_shapes(),
+                            sub_model.state_shapes(),
+                            global_model.state_scale_axes(),
+                            mode=mode, shift=shift)
+    if kind == "codec":
+        maps = decode_payload(encode_payload(maps))
+    return maps
+
+
+class TestSliceViewIndexing:
+    @pytest.mark.parametrize("kind",
+                             ["prefix", "rolling", "rolling_wrap", "codec"])
+    def test_matches_open_mesh(self, kind):
+        global_model = build_model("har_cnn", num_classes=6, seed=0)
+        sub_model = global_model.variant(width_mult=0.5)
+        maps = _map_kind(kind, global_model, sub_model)
+        state = global_model.state_dict()
+        uses_slices = [all(isinstance(ix, slice) for ix in
+                           _as_ix(per_axis, state[name].shape))
+                       for name, per_axis in maps.items()
+                       if any(idx is not None for idx in per_axis)]
+        assert uses_slices
+        assert all(uses_slices) == (kind != "rolling_wrap")
+
+        got = extract_substate(state, maps)
+        want = _ix_extract(state, maps)
+        assert set(got) == set(want)
+        for name, value in want.items():
+            assert got[name].dtype == value.dtype
+            assert got[name].tobytes() == value.tobytes()
+
+        rng = np.random.default_rng(5)
+        sums = {k: rng.standard_normal(v.shape) for k, v in state.items()}
+        counts = {k: rng.uniform(0, 3, v.shape) for k, v in state.items()}
+        ref_sums = {k: v.copy() for k, v in sums.items()}
+        ref_counts = {k: v.copy() for k, v in counts.items()}
+        sub = {k: rng.standard_normal(v.shape).astype(np.float32)
+               for k, v in want.items()}
+        for weight in (1.0, 0.37):
+            scatter_accumulate(sums, counts, sub, maps, weight=weight)
+            _ix_scatter(ref_sums, ref_counts, sub, maps, weight)
+        for name in state:
+            assert sums[name].tobytes() == ref_sums[name].tobytes()
+            assert counts[name].tobytes() == ref_counts[name].tobytes()
 
 
 class TestDeterminism:
