@@ -67,7 +67,6 @@ class ClientContext:
 class RoundOutcome:
     """What one federated round produced (consumed by the simulator)."""
 
-    slowest_client_s: float
     mean_train_loss: float
     extras: dict = field(default_factory=dict)
 
@@ -321,11 +320,10 @@ class MHFLAlgorithm:
     # ------------------------------------------------------------------
     # The round, as per-client primitives
     # ------------------------------------------------------------------
-    # ``run_client`` and ``ingest`` are the two halves every execution
-    # policy composes: the legacy synchronous loop calls them back-to-back
-    # through :meth:`run_round`, while the event-driven runtime runs clients
-    # at dispatch time and ingests whatever survived availability, dropout
-    # and deadline filtering — one code path for all eleven algorithms.
+    # ``run_client`` and ``ingest`` are the two halves every aggregation
+    # policy composes: the policy runs clients at dispatch time and ingests
+    # whatever survived availability, dropout and deadline filtering — one
+    # code path for every algorithm in the registry.
     #
     # ``run_client`` is a *pure* function of ``(broadcast, rng)``: it reads
     # no coordinator state that changes between rounds when a ``broadcast``
@@ -408,9 +406,8 @@ class MHFLAlgorithm:
                rng: np.random.Generator) -> RoundOutcome:
         """Aggregate a batch of client updates into the global state.
 
-        ``updates`` may be any single-pass iterable — the synchronous round
-        streams a generator through so only one client's update is alive at
-        a time; the event-driven policies pass materialized buffers.
+        ``updates`` may be any single-pass iterable (the aggregation
+        policies pass materialized lists).
 
         Ingestion always happens on the coordinator, in the round's
         *dispatch* order (never completion order): floating-point
@@ -419,46 +416,17 @@ class MHFLAlgorithm:
         """
         sums = zeros_like_state(self.global_state)
         counts = zeros_like_state(self.global_state)
-        slowest = 0.0
         losses = []
         for update in updates:
             state, maps = update.payload
             scatter_accumulate(sums, counts, state, maps,
                                weight=update.weight * update.discount)
-            slowest = max(slowest, update.round_time_s)
             losses.append(update.train_loss)
         old_state = self.global_state
         self.global_state = finalize_mean(sums, counts, self.global_state)
         self.post_aggregate(old_state, round_index)
         return RoundOutcome(
-            slowest_client_s=slowest,
             mean_train_loss=float(np.mean(losses)) if losses else 0.0)
-
-    def run_round(self, round_index: int, sampled_ids: Sequence[int],
-                  rng: np.random.Generator,
-                  run_seed: int = 0) -> RoundOutcome:
-        """Convenience synchronous round: train ``sampled_ids`` in order,
-        then aggregate.
-
-        Per-client randomness comes from the canonical
-        ``(run_seed, round, client_id)`` derivation — the same streams the
-        executor-backed loops use — while ``rng`` drives coordinator-side
-        aggregation (e.g. Fed-ET's server distillation).
-        """
-        from ..fl.seeding import client_rng
-
-        def updates():
-            for client_id in sampled_ids:
-                update = self.run_client(client_id, round_index,
-                                         client_rng(run_seed, round_index,
-                                                    client_id))
-                # Absorb persistent per-client state (FedProto/Fed-ET
-                # personal models) just as the executor-backed loops do.
-                self.apply_client_state(client_id,
-                                        self.pack_client_state(client_id))
-                yield update
-
-        return self.ingest(updates(), round_index, rng)
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -147,14 +147,13 @@ class FedET(MHFLAlgorithm):
     def ingest(self, updates, round_index: int, rng) -> RoundOutcome:
         updates = list(updates)  # may arrive as a single-pass generator
         if not updates:
-            return RoundOutcome(slowest_client_s=0.0, mean_train_loss=0.0)
+            return RoundOutcome(mean_train_loss=0.0)
         weights = np.asarray([u.weight * u.discount for u in updates])
         weights = weights / weights.sum()
         self._consensus = np.einsum("k,knc->nc", weights,
                                     np.stack([u.payload for u in updates]))
         self._distill_server(rng)
         return RoundOutcome(
-            slowest_client_s=max(u.round_time_s for u in updates),
             mean_train_loss=float(np.mean([u.train_loss for u in updates])))
 
     def _distill_server(self, rng: np.random.Generator) -> None:

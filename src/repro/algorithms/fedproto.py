@@ -197,21 +197,18 @@ class FedProto(MHFLAlgorithm):
     def ingest(self, updates, round_index: int, rng) -> RoundOutcome:
         proto_sums = np.zeros_like(self.global_protos)
         proto_counts = np.zeros(self.dataset.num_classes)
-        slowest = 0.0
         losses = []
         for update in updates:
             sums, counts = update.payload
             scale = update.weight * update.discount
             proto_sums += sums * scale
             proto_counts += counts * scale
-            slowest = max(slowest, update.round_time_s)
             losses.append(update.train_loss)
         updated = proto_counts > 0
         self.global_protos[updated] = (
             proto_sums[updated] / proto_counts[updated, None]).astype(np.float32)
         self._proto_valid |= updated
         return RoundOutcome(
-            slowest_client_s=slowest,
             mean_train_loss=float(np.mean(losses)) if losses else 0.0)
 
     # ------------------------------------------------------------------

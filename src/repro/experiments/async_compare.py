@@ -5,7 +5,7 @@ the idealized synchronous loop; this artifact adds the systems axis.  For
 each constraint case it runs the same algorithm under three execution
 policies on the same constrained fleet and availability scenario:
 
-* ``sync``     — wait for the straggler (the legacy loop's semantics);
+* ``sync``     — wait for the straggler (the ``execution=None`` semantics);
 * ``deadline`` — synchronous with a fleet-quantile round deadline plus
   over-selection: slow uploads are dropped, rounds are shorter;
 * ``buffered`` — FedBuff-style semi-async buffered aggregation with

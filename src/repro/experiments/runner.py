@@ -454,9 +454,9 @@ def run_one(algorithm: str, dataset_name: str, spec: ConstraintSpec,
 
     Back-compat wrapper over :func:`execute_spec`: the arguments are packed
     into a :class:`RunSpec`, so the run is cacheable and addressable.
-    ``execution`` selects the event-driven runtime; when omitted, a spec
-    with a non-trivial availability scenario still routes through the event
-    engine so the scenario is honoured.  ``workers``/``executor`` select
+    ``execution`` selects the fleet and aggregation policy; when omitted,
+    a spec with a non-trivial availability scenario or a fault profile
+    still gets an execution block so the scenario is honoured.  ``workers``/``executor`` select
     within-cell client parallelism (results identical at any setting).
     """
     scale_name, packed_overrides = spec_scale_fields(scale)

@@ -102,9 +102,10 @@ class RunSpec:
         """The execution block the runner will actually use.
 
         Mirrors the legacy ``run_one`` behaviour: an explicit execution
-        wins; otherwise a non-trivial availability scenario — or a fault
-        profile, which only the event engine can inject — routes through
-        the event engine so the scenario is honoured.
+        wins; otherwise a non-trivial availability scenario or a fault
+        profile — neither of which an ``execution=None`` run can express —
+        gets the constraint spec's execution block so the scenario is
+        honoured.
         """
         if self.execution is not None:
             return self.execution

@@ -1,6 +1,6 @@
-"""Federated simulation engine: local training, round loops, history.
+"""Federated simulation engine: local training, the round loop, history.
 
-Includes the event-driven asynchronous runtime: a discrete-event scheduler
+Every run goes through one discrete-event runtime: a scheduler
 (:mod:`repro.fl.events`), client availability models
 (:mod:`repro.fl.availability`) and pluggable aggregation policies
 (:mod:`repro.fl.aggregation`).
@@ -15,7 +15,8 @@ from .availability import (AvailabilityModel, AlwaysOn, DiurnalSine,
                            make_availability)
 from .aggregation import (ExecutionConfig, AggregationPolicy,
                           SynchronousPolicy, BufferedPolicy,
-                          AGGREGATION_POLICIES, make_policy, validate_update)
+                          AGGREGATION_POLICIES, make_policy, sample_clients,
+                          validate_update)
 from .executor import (ScenarioHandle, ClientWorkItem, ClientResult,
                        execute_work_item, Executor, InlineExecutor,
                        ThreadExecutor, ProcessExecutor, EXECUTORS,
@@ -24,8 +25,7 @@ from .executor import (ScenarioHandle, ClientWorkItem, ClientResult,
 from .faults import FaultSpec, FaultModel, FaultPlan, corrupt_update
 from .checkpoint import CheckpointConfig, Checkpointer, make_checkpointer
 from .seeding import client_seed_key, client_rng, fault_rng, reseed_dropout
-from .simulation import (SimulationConfig, run_simulation,
-                         run_event_simulation, sample_clients)
+from .simulation import SimulationConfig, run_simulation
 from .serialization import (history_to_dict, history_from_dict, save_history,
                             load_history, client_update_to_dict,
                             client_update_from_dict)
@@ -47,8 +47,7 @@ __all__ = [
     "FaultSpec", "FaultModel", "FaultPlan", "corrupt_update",
     "CheckpointConfig", "Checkpointer", "make_checkpointer",
     "client_seed_key", "client_rng", "fault_rng", "reseed_dropout",
-    "SimulationConfig", "run_simulation", "run_event_simulation",
-    "sample_clients",
+    "SimulationConfig", "run_simulation", "sample_clients",
     "history_to_dict", "history_from_dict", "save_history", "load_history",
     "client_update_to_dict", "client_update_from_dict",
 ]

@@ -1,4 +1,4 @@
-"""Pluggable server aggregation policies for the event-driven runtime.
+"""Pluggable server aggregation policies: the round loop of every run.
 
 Two policies cover the design space the systems literature converges on for
 constrained fleets (Pfeiffer et al.'s survey; FedBuff, Nguyen et al.
@@ -7,8 +7,9 @@ AISTATS'22):
 * :class:`SynchronousPolicy` — round-based aggregation with an optional
   wall-clock **deadline** (late uploads are dropped) and **over-selection**
   (dispatch extra clients so a round survives dropouts/stragglers).  With no
-  deadline, no over-selection and an always-on fleet it reproduces the
-  legacy ``run_simulation`` loop event-for-event.
+  deadline, no over-selection and an always-on fleet every sampled client
+  finishes and the round waits for the straggler — the idealized loop
+  ``run_simulation`` runs for ``execution=None``.
 * :class:`BufferedPolicy` — FedBuff-style semi-asynchronous aggregation:
   the server keeps ``max_concurrency`` clients training at all times and
   aggregates whenever ``buffer_size`` updates have arrived, discounting each
@@ -17,13 +18,15 @@ AISTATS'22):
 
 Both drive the same :class:`~repro.fl.events.EventQueue` and the same
 per-client algorithm primitives (``run_client`` / ``ingest``), so every
-algorithm in the registry works under every policy unchanged.  Client work
-is *snapshotted* at dispatch time — the state a client downloads is the
-server state at its dispatch timestamp, which is exactly what staleness
-means — and handed to a pluggable :class:`~repro.fl.executor.Executor`
-(inline, thread pool or process pool); the queue orders arrivals, drops
-and aggregations on the simulated clock, so the History is identical for
-any worker count.
+algorithm in the registry works under every policy unchanged, and both
+decide each dispatched client's fate (dropout, churn, crash, provably
+late, straggler slowdown) through :meth:`AggregationPolicy.client_fate`.
+Client work is *snapshotted* at dispatch time — the state a client
+downloads is the server state at its dispatch timestamp, which is exactly
+what staleness means — and handed to a pluggable
+:class:`~repro.fl.executor.Executor` (inline, thread pool or process
+pool); the queue orders arrivals, drops and aggregations on the simulated
+clock, so the History is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -51,16 +54,22 @@ from .sanitizers import freeze_arrays, frozen_arrays, resolve_strict
 
 __all__ = ["ExecutionConfig", "AggregationPolicy", "SynchronousPolicy",
            "BufferedPolicy", "AGGREGATION_POLICIES", "make_policy",
-           "sample_count", "validate_update"]
+           "sample_count", "sample_clients", "validate_update"]
 
 _log = get_logger("aggregation")
 
 
 def sample_count(num_clients: int, sample_ratio: float) -> int:
-    """Participants per round — the single formula behind both
-    :func:`repro.fl.simulation.sample_clients` and the policies' sampling
-    (the bit-exact legacy-equivalence contract depends on them agreeing)."""
+    """Participants per round — the single formula behind
+    :func:`sample_clients` and the policies' concurrency targets."""
     return min(max(1, int(round(num_clients * sample_ratio))), num_clients)
+
+
+def sample_clients(num_clients: int, sample_ratio: float,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Sample the round's participants without replacement."""
+    count = sample_count(num_clients, sample_ratio)
+    return rng.choice(num_clients, size=count, replace=False)
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +137,7 @@ class ExecutionConfig:
     availability: str = "always_on"
     availability_kwargs: dict = field(default_factory=dict)
     #: sync: wall-clock budget per round; updates arriving later are dropped
-    #: (None = wait for the straggler, the legacy behaviour).
+    #: (None = wait for the straggler).
     deadline_s: float | None = None
     #: sync: dispatch ceil(target * (1 + over_select)) clients to hedge
     #: against dropouts and stragglers.
@@ -151,7 +160,7 @@ class ExecutionConfig:
     #: sync: minimum fraction of dispatched clients that must arrive (by
     #: the deadline) for the round to aggregate.  Unmet quorum extends the
     #: deadline once (doubling it); still unmet, the round is skipped —
-    #: never crashed.  ``None`` aggregates whatever arrived (legacy).
+    #: never crashed.  ``None`` aggregates whatever arrived.
     quorum: float | None = None
     #: coordinator defense: run :func:`validate_update` on every arrived
     #: update and quarantine failures (``dropped_quarantined`` extras).
@@ -321,6 +330,63 @@ class AggregationPolicy:
             self.executor = InlineExecutor(algorithm)
         return self.executor
 
+    def client_fate(self, algorithm, cid: int, plan, start_s: float,
+                    horizon: float, info: dict
+                    ) -> tuple[float, float] | None:
+        """Queue ``cid``'s download at ``start_s`` and decide its fate.
+
+        Applies the fault ``plan``'s straggler slowdown (``None`` = clean),
+        then returns ``(download + train, total)`` seconds for a client
+        that will train, or ``None`` once its dropout, churn, crash or
+        provably-late event is queued: a client whose round time exceeds
+        ``horizon`` could only arrive after its upload would be discarded,
+        so its (expensive) local training is skipped.  ``info`` is the
+        download event's annotation.
+        """
+        ctx = algorithm.clients[cid]
+        down, train, up = algorithm.client_time_segments(ctx)
+        if plan is not None and plan.slowdown != 1.0:
+            train *= plan.slowdown
+            total = train + (down + up)
+        else:
+            # No slowdown: keep the algorithm's own total (bit-exact with
+            # the zero-fault path, overrides included).
+            total = algorithm.client_round_time_s(ctx)
+        self.queue.push(Event(start_s, DOWNLOAD_START, cid, info=info))
+        if self.availability.drops_round(cid, self.participation_index(cid)):
+            # Device killed the job after training, before upload.
+            self.queue.push(Event(start_s + down + train, CLIENT_DROPPED, cid,
+                                  info={"reason": "dropout"}))
+            return None
+        online_until = self.availability.online_until(cid, start_s)
+        if online_until < start_s + total:
+            self.queue.push(Event(min(online_until, start_s + total),
+                                  CLIENT_DROPPED, cid,
+                                  info={"reason": "churn"}))
+            return None
+        if plan is not None and plan.crash:
+            # Injected fault: the device dies after training, before its
+            # upload lands — the work is lost either way.
+            self.queue.push(Event(start_s + down + train, CLIENT_FAILED, cid,
+                                  info={"reason": "crash"}))
+            return None
+        if total > horizon:
+            self.queue.push(Event(start_s + total, UPLOAD_COMPLETE, cid,
+                                  info={"late": True}))
+            return None
+        return down + train, total
+
+    def apply_arrival_faults(self, update, plan, total: float) -> None:
+        """Stamp a fault ``plan``'s straggler time and corruption onto an
+        update when it arrives (``None`` = clean upload)."""
+        if plan is None:
+            return
+        if plan.slowdown != 1.0:
+            update.round_time_s = total
+        if plan.corrupt is not None:
+            corrupt_update(update, plan.corrupt,
+                           self.faults.spec.corrupt_factor)
+
     def _record_run_telemetry(self, history: History,
                               wall_start: float) -> None:
         """End-of-run gauges: sim-vs-wall-clock skew and queue statistics.
@@ -420,8 +486,10 @@ class SynchronousPolicy(AggregationPolicy):
                 self.emit(Event(sim_time, EVAL_TICK,
                                 info={"round": round_index, "accuracy": acc}))
             extras = dict(outcome.extras) if outcome else {}
-            extras.update({"dispatched": len(sampled),
-                           "received": len(received)})
+            # an ``execution=None`` run records no dispatch counters
+            if self.sim_config.execution is not None:
+                extras.update({"dispatched": len(sampled),
+                               "received": len(received)})
             extras.update({f"dropped_{k}": v for k, v in drops.items() if v})
             extras.update(notes)
             record = RoundRecord(
@@ -451,11 +519,12 @@ class SynchronousPolicy(AggregationPolicy):
     # -- helpers --------------------------------------------------------
     def _sample(self, online: list[int], num_clients: int,
                 rng: np.random.Generator) -> np.ndarray:
-        from .simulation import sample_clients  # circular at module load
         target = self.sample_size(num_clients)
         extra = int(math.ceil(target * self.execution.over_select))
         if extra == 0 and len(online) == num_clients:
-            # Bit-for-bit the legacy sampling stream (equivalence contract).
+            # The whole fleet is eligible: sample client ids directly (a
+            # different stream from choosing among ``online`` ids, pinned
+            # by every cached History).
             return sample_clients(num_clients, self.sim_config.sample_ratio,
                                   rng)
         count = min(target + extra, len(online))
@@ -488,54 +557,19 @@ class SynchronousPolicy(AggregationPolicy):
         drops = {"dropout": 0, "churn": 0, "deadline": 0,
                  "crash": 0, "quarantined": 0}
         dispatch_order = {int(cid): i for i, cid in enumerate(sampled)}
-        to_train: list[int] = []
-        timings: dict[int, tuple[float, float]] = {}
-        plans: dict[int, object] = {}
+        #: (cid, fault plan, download + train, total) per client that trains.
+        to_train: list[tuple[int, object, float, float]] = []
 
         for client_id in sampled:
             cid = int(client_id)
-            ctx = algorithm.clients[cid]
-            down, train, up = algorithm.client_time_segments(ctx)
             plan = (self.faults.plan(round_index, cid)
                     if self.faults is not None else None)
-            if plan is not None and plan.slowdown != 1.0:
-                train *= plan.slowdown
-                total = train + (down + up)
-            else:
-                # No slowdown: keep the algorithm's own total (bit-exact
-                # with the zero-fault path, overrides included).
-                total = algorithm.client_round_time_s(ctx)
-            if plan is not None and not plan.clean:
-                plans[cid] = plan
-            timings[cid] = (down + train, total)
-            self.queue.push(Event(start_s, DOWNLOAD_START, cid,
-                                  info={"round": round_index}))
-            if self.availability.drops_round(cid,
-                                             self.participation_index(cid)):
-                # Device killed the job after training, before upload.
-                self.queue.push(Event(start_s + down + train, CLIENT_DROPPED,
-                                      cid, info={"reason": "dropout"}))
-                continue
-            online_until = self.availability.online_until(cid, start_s)
-            if online_until < start_s + total:
-                self.queue.push(Event(min(online_until, start_s + total),
-                                      CLIENT_DROPPED, cid,
-                                      info={"reason": "churn"}))
-                continue
-            if plan is not None and plan.crash:
-                # Injected fault: the device dies after training, before
-                # its upload lands — the work is lost either way, so skip
-                # the (expensive) local training too.
-                self.queue.push(Event(start_s + down + train, CLIENT_FAILED,
-                                      cid, info={"reason": "crash"}))
-                continue
-            if total > horizon:
-                # Provably late: the arrival will be discarded, so skip the
-                # (expensive) local training and schedule the late upload.
-                self.queue.push(Event(start_s + total, UPLOAD_COMPLETE, cid,
-                                      info={"late": True}))
-                continue
-            to_train.append(cid)
+            if plan is not None and plan.clean:
+                plan = None
+            fate = self.client_fate(algorithm, cid, plan, start_s, horizon,
+                                    {"round": round_index})
+            if fate is not None:
+                to_train.append((cid, plan, *fate))
 
         shared = (algorithm.pack_round_broadcast(round_index)
                   if executor.needs_broadcast else None)
@@ -543,7 +577,7 @@ class SynchronousPolicy(AggregationPolicy):
                                 self.sim_config.seed,
                                 executor.needs_broadcast,
                                 shared_broadcast=shared)
-                 for cid in to_train]
+                 for cid, *_ in to_train]
         wall_timings: dict[int, dict] = {}
         if self.strict:
             # Freeze the shared broadcast and the live global state for
@@ -556,18 +590,11 @@ class SynchronousPolicy(AggregationPolicy):
                 batch = executor.run_batch(items)
         else:
             batch = executor.run_batch(items)
-        for cid, result in zip(to_train, batch):
+        for (cid, plan, trained_at, total), result in zip(to_train, batch):
             if result.timing is not None:
                 wall_timings[cid] = result.timing
             algorithm.apply_client_state(cid, result.client_state)
-            trained_at, total = timings[cid]
-            plan = plans.get(cid)
-            if plan is not None:
-                if plan.slowdown != 1.0:
-                    result.update.round_time_s = total
-                if plan.corrupt is not None:
-                    corrupt_update(result.update, plan.corrupt,
-                                   self.faults.spec.corrupt_factor)
+            self.apply_arrival_faults(result.update, plan, total)
             self.queue.push(Event(start_s + trained_at, TRAIN_COMPLETE, cid))
             self.queue.push(Event(start_s + total, UPLOAD_COMPLETE, cid,
                                   info={"update": result.update}))
@@ -650,8 +677,8 @@ class SynchronousPolicy(AggregationPolicy):
         if wall_timings:
             notes["client_timings"] = wall_timings
         #: updates kept in dispatch order — a synchronous server treats the
-        #: round's batch as a set, and dispatch order is the legacy loop's
-        #: accumulation order (the equivalence contract is bit-exact).
+        #: round's batch as a set, and dispatch order is the one order every
+        #: executor agrees on (accumulation order is part of the result).
         received.sort(key=lambda u: dispatch_order[u.client_id])
         return received, duration, drops, notes
 
@@ -723,14 +750,8 @@ class BufferedPolicy(AggregationPolicy):
                 round_timings[event.client_id] = result.timing
             algorithm.apply_client_state(event.client_id, result.client_state)
             update = result.update
-            plan = event.info.pop("plan", None)
-            if plan is not None:
-                slowed_total = event.info.pop("total", None)
-                if slowed_total is not None and plan.slowdown != 1.0:
-                    update.round_time_s = slowed_total
-                if plan.corrupt is not None:
-                    corrupt_update(update, plan.corrupt,
-                                   self.faults.spec.corrupt_factor)
+            self.apply_arrival_faults(update, event.info.pop("plan", None),
+                                      event.info.pop("total", None))
             if execution.validate:
                 verdict = validate_update(update, execution.norm_bound)
                 if verdict is not None:
@@ -849,8 +870,6 @@ class BufferedPolicy(AggregationPolicy):
         cid = int(rng.choice(np.asarray(candidates)))
         self._in_flight.add(cid)
         self._dispatches += 1
-        ctx = algorithm.clients[cid]
-        down, train, up = algorithm.client_time_segments(ctx)
         plan = None
         if self.faults is not None:
             # Fault plans key on a policy-owned per-client dispatch count:
@@ -861,30 +880,12 @@ class BufferedPolicy(AggregationPolicy):
             plan = self.faults.plan(version, cid, fault_dispatch)
             if plan.clean:
                 plan = None
-        if plan is not None and plan.slowdown != 1.0:
-            train *= plan.slowdown
-            total = train + (down + up)
-        else:
-            total = algorithm.client_round_time_s(ctx)
-        self.queue.push(Event(now, DOWNLOAD_START, cid,
-                              info={"version": version}))
-        if self.availability.drops_round(cid,
-                                         self.participation_index(cid)):
-            self.queue.push(Event(now + down + train, CLIENT_DROPPED, cid,
-                                  info={"reason": "dropout"}))
+        # No deadline here: nothing is provably late.
+        fate = self.client_fate(algorithm, cid, plan, now, math.inf,
+                                {"version": version})
+        if fate is None:
             return True
-        online_until = self.availability.online_until(cid, now)
-        if online_until < now + total:
-            self.queue.push(Event(min(online_until, now + total),
-                                  CLIENT_DROPPED, cid,
-                                  info={"reason": "churn"}))
-            return True
-        if plan is not None and plan.crash:
-            # Injected fault: device dies post-train, pre-upload; the work
-            # is lost either way, so skip the local training too.
-            self.queue.push(Event(now + down + train, CLIENT_FAILED, cid,
-                                  info={"reason": "crash"}))
-            return True
+        trained_at, total = fate
         # Submit the work item now — the broadcast snapshot taken at this
         # instant *is* the staleness semantics (the client downloads the
         # server state at its dispatch timestamp) — and resolve the future
@@ -907,7 +908,7 @@ class BufferedPolicy(AggregationPolicy):
                 future = executor.submit(item)
         else:
             future = executor.submit(item)
-        self.queue.push(Event(now + down + train, TRAIN_COMPLETE, cid))
+        self.queue.push(Event(now + trained_at, TRAIN_COMPLETE, cid))
         info: dict = {"future": future}
         if plan is not None:
             # Stash the plan for the arrival handler (corruption/straggler

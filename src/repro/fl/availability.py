@@ -59,7 +59,8 @@ class AvailabilityModel:
 
 
 class AlwaysOn(AvailabilityModel):
-    """The idealized setting of the legacy synchronous loop."""
+    """The idealized fleet: every client is always online and always
+    finishes (the fleet of every ``execution=None`` run)."""
 
     name = "always_on"
 

@@ -23,11 +23,11 @@ class RoundRecord:
     #: global-test accuracy (None on rounds without evaluation).
     global_accuracy: float | None = None
     #: dropped/stale-update counters and other per-round annotations
-    #: (e.g. ``dispatched``/``received``/``dropped_deadline`` from the
-    #: event-driven runtime).
+    #: (e.g. ``dispatched``/``received``/``dropped_deadline``; runs with
+    #: ``execution=None`` record none of these).
     extras: dict = field(default_factory=dict)
     #: per-event timeline of the round (JSON-safe dicts with at least
-    #: ``t`` and ``type``), recorded by the event-driven runtime.
+    #: ``t`` and ``type``); empty unless ``ExecutionConfig.record_events``.
     events: list = field(default_factory=list)
 
 
@@ -116,8 +116,10 @@ class History:
     def dropped_counts(self) -> dict[str, int]:
         """Total dropped updates over the run, keyed by reason.
 
-        Sums the ``dropped_*`` extras the event-driven runtime records
-        (``dropout``, ``churn``, ``deadline``); empty for legacy runs.
+        Sums the ``dropped_*`` extras the aggregation policies record
+        (``dropout``, ``churn``, ``deadline``, ``crash``, ``quarantined``);
+        empty for ``execution=None`` runs, whose always-on fleet drops
+        nothing.
         """
         totals: dict[str, int] = {}
         for record in self.records:

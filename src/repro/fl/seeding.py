@@ -2,10 +2,10 @@
 
 A client's local round must be a pure function of ``(run_seed, round,
 client_id)`` — not of *when* it executes relative to its peers — or results
-change with the worker count.  The legacy loop drew every client's batch
-order, Fjord width sample and public-set picks from one shared
-``np.random.Generator``, which made round results depend on dispatch order.
-This module replaces that with derived streams:
+change with the worker count.  Drawing every client's batch order, Fjord
+width sample and public-set picks from one shared ``np.random.Generator``
+would make round results depend on dispatch order, so every client draw
+comes from derived streams instead:
 
 * :func:`client_rng` seeds a fresh generator from the
   ``(run_seed, round, client_id)`` triple (via ``numpy``'s

@@ -75,14 +75,14 @@ class TestEveryAlgorithm:
 
 
 class TestAggregationSemantics:
-    def test_sheterofl_only_touched_coords_change(self, task):
+    def test_sheterofl_only_touched_coords_change(self, task, sync_round):
         algo = _build("sheterofl", task)
         before = {k: v.copy() for k, v in algo.global_state.items()}
         rng = np.random.default_rng(0)
         # One sampled client at x0.25: only the prefix block may change.
         small_id = next(cid for cid, ctx in algo.clients.items()
                         if ctx.entry.overrides.get("width_mult") == 0.25)
-        algo.run_round(0, [small_id], rng)
+        sync_round(algo, 0, [small_id], rng)
         name = "stages.3.0.conv.weight"
         mult = 0.25
         out_dim = algo.global_state[name].shape[0]
@@ -145,19 +145,19 @@ class TestAggregationSemantics:
 
 
 class TestTopologyAlgorithms:
-    def test_fedproto_personal_models_persist(self, task):
+    def test_fedproto_personal_models_persist(self, task, sync_round):
         algo = _build("fedproto", task)
         rng = np.random.default_rng(0)
-        algo.run_round(0, [0, 1], rng)
+        sync_round(algo, 0, [0, 1], rng)
         model_0 = algo._personal[0]
-        algo.run_round(1, [0], rng)
+        sync_round(algo, 1, [0], rng)
         assert algo._personal[0] is model_0
 
-    def test_fedproto_prototypes_update(self, task):
+    def test_fedproto_prototypes_update(self, task, sync_round):
         algo = _build("fedproto", task)
         rng = np.random.default_rng(0)
         assert not algo._proto_valid.any()
-        algo.run_round(0, [0, 1, 2, 3], rng)
+        sync_round(algo, 0, [0, 1, 2, 3], rng)
         assert algo._proto_valid.any()
         assert np.abs(algo.global_protos).sum() > 0
 
@@ -174,10 +174,10 @@ class TestTopologyAlgorithms:
                  for ov in algo.variant_space(algo.base_model).values()]
         assert algo.server_model.num_parameters() == max(sizes)
 
-    def test_fedet_consensus_formed(self, task):
+    def test_fedet_consensus_formed(self, task, sync_round):
         algo = _build("fedet", task)
         rng = np.random.default_rng(0)
-        algo.run_round(0, [0, 1], rng)
+        sync_round(algo, 0, [0, 1], rng)
         assert algo._consensus is not None
         assert algo._consensus.shape == (len(algo.x_public),
                                          algo.dataset.num_classes)

@@ -1,7 +1,8 @@
-"""Tests for the event-driven asynchronous FL runtime.
+"""Tests for the event-driven FL runtime behind every ``run_simulation``.
 
-Covers the equivalence contract (event engine with always-on fleet, sync
-policy and no deadline reproduces the legacy loop bit-for-bit), buffered
+Covers the equivalence contract (``ExecutionConfig()`` — always-on fleet,
+sync policy, no deadline — reproduces an ``execution=None`` run's records
+bit-for-bit, adding only timelines and dispatch counters), buffered
 staleness accounting, deadline/dropout/churn handling, the availability
 models, and the async_compare experiment end-to-end.
 """
@@ -15,7 +16,7 @@ from repro.constraints import ConstraintSpec, build_scenario
 from repro.data import load_dataset
 from repro.fl import (BufferedPolicy, Event, EventQueue, ExecutionConfig,
                       LocalTrainConfig, SimulationConfig, SynchronousPolicy,
-                      make_availability, run_event_simulation, run_simulation)
+                      make_availability, run_simulation)
 from repro.fl.events import (CLIENT_DROPPED, DOWNLOAD_START, SERVER_AGGREGATE,
                              UPLOAD_COMPLETE)
 from repro.models import build_model
@@ -61,7 +62,8 @@ class TestEventQueue:
 
 
 class TestLegacyEquivalence:
-    """ExecutionConfig() defaults must reproduce the legacy loop exactly."""
+    """ExecutionConfig() defaults must reproduce an ``execution=None`` run
+    exactly."""
 
     @pytest.mark.parametrize("algorithm",
                              ["sheterofl", "fedrolex", "fedproto", "fedet"])
@@ -80,6 +82,14 @@ class TestLegacyEquivalence:
             assert a.train_loss == b.train_loss
             assert a.global_accuracy == b.global_accuracy
         assert legacy.final_device_accuracies == event.final_device_accuracies
+
+    def test_bare_run_records_no_counters_or_timelines(self):
+        history = run_simulation(tiny_scenario().algorithm,
+                                 SimulationConfig(**SIM))
+        for record in history.records:
+            assert record.events == []
+            assert not {"dispatched", "received"} & set(record.extras)
+        assert history.dropped_counts() == {}
 
     def test_event_run_records_timeline(self):
         history = run_simulation(
@@ -279,11 +289,13 @@ class TestExecutionConfig:
         with pytest.raises(ValueError):
             ConstraintSpec(availability="sometimes")
 
-    def test_run_event_simulation_override(self):
-        history = run_event_simulation(
-            tiny_scenario().algorithm, SimulationConfig(**SIM),
-            execution=ExecutionConfig(policy="buffered", buffer_size=2))
+    def test_execution_block_selects_policy(self):
+        history = run_simulation(
+            tiny_scenario().algorithm,
+            SimulationConfig(**SIM, execution=ExecutionConfig(
+                policy="buffered", buffer_size=2)))
         assert len(history.records) == SIM["num_rounds"]
+        assert all("stale_updates" in r.extras for r in history.records)
 
     def test_policy_classes_registered(self):
         assert ExecutionConfig(policy="sync")

@@ -50,7 +50,7 @@ def _algo(name, task, **kwargs):
 
 
 class TestRollingCoverage:
-    def test_fedrolex_touches_tail_coordinates(self, task):
+    def test_fedrolex_touches_tail_coordinates(self, task, sync_round):
         """Coordinates beyond every prefix still get trained over rounds."""
         algo = _algo("fedrolex", task)
         rng = np.random.default_rng(0)
@@ -61,10 +61,10 @@ class TestRollingCoverage:
                         if ctx.entry.overrides.get("width_mult") == 0.25)
         dim = algo.global_state[name].shape[0]
         for round_index in range(dim):
-            algo.run_round(round_index, [small_id], rng)
+            sync_round(algo, round_index, [small_id], rng)
         assert not np.array_equal(algo.global_state[name][-1], before_tail)
 
-    def test_sheterofl_never_touches_tail(self, task):
+    def test_sheterofl_never_touches_tail(self, task, sync_round):
         algo = _algo("sheterofl", task)
         rng = np.random.default_rng(0)
         name = "stages.3.0.conv.weight"
@@ -72,19 +72,19 @@ class TestRollingCoverage:
         small_id = next(cid for cid, ctx in algo.clients.items()
                         if ctx.entry.overrides.get("width_mult") == 0.25)
         for round_index in range(8):
-            algo.run_round(round_index, [small_id], rng)
+            sync_round(algo, round_index, [small_id], rng)
         np.testing.assert_array_equal(algo.global_state[name][-1],
                                       before_tail)
 
 
 class TestBatchNormBuffers:
-    def test_running_stats_aggregate(self, task):
+    def test_running_stats_aggregate(self, task, sync_round):
         """BN running means travel with client slices into the global state."""
         algo = _algo("sheterofl", task)
         rng = np.random.default_rng(0)
         name = "stages.0.0.bn.running_mean"
         before = algo.global_state[name].copy()
-        algo.run_round(0, list(algo.clients)[:4], rng)
+        sync_round(algo, 0, list(algo.clients)[:4], rng)
         assert not np.array_equal(algo.global_state[name], before)
 
 

@@ -2,7 +2,7 @@
 
 The contract under test: a client's local round is a pure function of
 ``(run_seed, round, client_id)`` plus the broadcast state, so
-``run_simulation``/``run_event_simulation`` produce **byte-identical**
+``run_simulation`` produces **byte-identical**
 ``History.to_json()`` for any executor (inline / thread / process) and any
 worker count; sweeps fan out with identical results; the run cache
 tolerates concurrent writers; and every algorithm's uplink payload
@@ -298,9 +298,16 @@ class TestInlineReferenceSemantics:
         for round_index in range(config.num_rounds):
             sampled = sample_clients(algorithm.num_clients,
                                      config.sample_ratio, rng)
-            outcome = algorithm.run_round(round_index, sampled, rng,
-                                          run_seed=config.seed)
-            round_time = outcome.slowest_client_s + config.server_overhead_s
+            updates = []
+            for client_id in sampled:
+                updates.append(algorithm.run_client(
+                    client_id, round_index,
+                    client_rng(config.seed, round_index, client_id)))
+                algorithm.apply_client_state(
+                    client_id, algorithm.pack_client_state(client_id))
+            outcome = algorithm.ingest(updates, round_index, rng)
+            round_time = (max(u.round_time_s for u in updates)
+                          + config.server_overhead_s)
             sim_time += round_time
             is_eval = (round_index % config.eval_every == 0
                        or round_index == config.num_rounds - 1)
